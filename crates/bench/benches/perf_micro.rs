@@ -1,22 +1,49 @@
-//! Criterion microbenchmarks of the workspace's hot paths: trace
+//! Criterion microbenchmarks of the workspace's hot paths: cold trace
 //! generation, the simplex/MIP solver, k-clique enumeration, and the
 //! cluster-simulator step loop.
 
-use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BatchSize, Criterion};
 use vb_cluster::{Cluster, ClusterConfig, Workload, WorkloadConfig};
 use vb_net::{k_cliques, SiteGraph};
 use vb_solver::{Model, Sense, VarId};
-use vb_trace::{Catalog, Site, WeatherField};
+use vb_trace::{Catalog, Horizon, Site, WeatherField};
 
 fn bench_trace_generation(c: &mut Criterion) {
-    let field = WeatherField::new(1);
+    // Every iteration synthesizes from a fresh (cold) weather field: a
+    // reused field would serve all iterations after the first from its
+    // warm anchor cache and time a lookup instead of synthesis.
     let solar = Site::solar("s", 50.8, 4.4);
     let wind = Site::wind("w", 50.8, 4.4);
     c.bench_function("trace/solar_week", |b| {
-        b.iter(|| vb_trace::generate_in(&solar, 120, 7, &field))
+        b.iter_batched(
+            || WeatherField::new(1),
+            |field| vb_trace::generate_in(&solar, 120, 7, &field),
+            BatchSize::SmallInput,
+        )
     });
     c.bench_function("trace/wind_week", |b| {
-        b.iter(|| vb_trace::generate_in(&wind, 120, 7, &field))
+        b.iter_batched(
+            || WeatherField::new(1),
+            |field| vb_trace::generate_in(&wind, 120, 7, &field),
+            BatchSize::SmallInput,
+        )
+    });
+    // A fleet simulation's whole trace layer: one cold catalog, every
+    // site's 84-day trace and its three forecast horizons.
+    c.bench_function("trace/fleet_150_sites_84d", |b| {
+        b.iter_batched(
+            || Catalog::fleet(1, 150),
+            |catalog| {
+                let field = catalog.field();
+                for site in catalog.sites() {
+                    let actual = vb_trace::generate_in(site, 120, 84, field);
+                    for h in Horizon::all() {
+                        black_box(vb_trace::forecast_for(&actual, site, h, field));
+                    }
+                }
+            },
+            BatchSize::LargeInput,
+        )
     });
 }
 

@@ -279,12 +279,20 @@ mod tests {
         assert_eq!(chunky.resolve_threads(25), 3);
     }
 
+    /// The override as seen between scopes: holding the scope lock
+    /// keeps a concurrently running test's `with_threads` from being
+    /// mid-scope while we read.
+    fn override_between_scopes() -> Option<usize> {
+        let _guard = OVERRIDE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        override_threads()
+    }
+
     #[test]
     fn with_threads_scopes_and_restores() {
-        assert_eq!(override_threads(), None);
+        assert_eq!(override_between_scopes(), None);
         let inner = with_threads(3, || ParConfig::default().resolve_threads(1000));
         assert_eq!(inner, 3);
-        assert_eq!(override_threads(), None, "override restored");
+        assert_eq!(override_between_scopes(), None, "override restored");
         // Explicit config still wins over the scope.
         let pinned = with_threads(3, || ParConfig::with_threads(2).resolve_threads(1000));
         assert_eq!(pinned, 2);
@@ -294,7 +302,7 @@ mod tests {
     fn with_threads_restores_on_panic() {
         let result = std::panic::catch_unwind(|| with_threads(5, || panic!("boom")));
         assert!(result.is_err());
-        assert_eq!(override_threads(), None);
+        assert_eq!(override_between_scopes(), None);
     }
 
     #[test]

@@ -52,7 +52,7 @@ use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
 use vb_cluster::VmKind;
 use vb_stats::{Cdf, Summary, TimeSeries};
-use vb_trace::{forecast_for, generate_in, Catalog, Horizon, Site, WEEK_AHEAD_STEPS};
+use vb_trace::{forecast_for, Catalog, Horizon, Site, TraceError, WEEK_AHEAD_STEPS};
 
 /// Errors constructing a group simulation from a catalog + config.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -61,6 +61,9 @@ pub enum SimError {
     UnknownSite(String),
     /// The group needs at least one site.
     NoSites,
+    /// A site's measured data cannot serve the simulated window: it is
+    /// not 15-minute, or does not cover the window.
+    Trace(TraceError),
 }
 
 impl std::fmt::Display for SimError {
@@ -70,6 +73,7 @@ impl std::fmt::Display for SimError {
                 write!(f, "unknown site {name:?}: not present in the catalog")
             }
             SimError::NoSites => write!(f, "a group simulation needs at least one site"),
+            SimError::Trace(e) => write!(f, "no trace for the simulated window: {e}"),
         }
     }
 }
@@ -593,10 +597,11 @@ impl GroupSim {
     /// Build a group over the given catalog sites.
     ///
     /// # Errors
-    /// [`SimError::NoSites`] when `site_names` is empty and
-    /// [`SimError::UnknownSite`] when a name is not in the catalog, so
-    /// callers (benches, examples) fail with a diagnostic instead of a
-    /// panic backtrace.
+    /// [`SimError::NoSites`] when `site_names` is empty,
+    /// [`SimError::UnknownSite`] when a name is not in the catalog and
+    /// [`SimError::Trace`] when a site's measured data cannot serve the
+    /// window, so callers (benches, examples) fail with a diagnostic
+    /// instead of a panic backtrace.
     pub fn new(
         catalog: &Catalog,
         site_names: &[&str],
@@ -609,15 +614,19 @@ impl GroupSim {
         let n_steps = (cfg.days as u64) * STEPS_PER_DAY as u64;
         // Per-site trace + forecast generation is the expensive part of
         // setup; each site is independent, so fan out across cores. The
-        // traces are seeded per site, so the result is identical at any
-        // thread count.
+        // traces are seeded per site (the field's shared anchor noise is
+        // bit-identical whichever thread computes it first), so the
+        // result is identical at any thread count. The actual power is
+        // the catalog's: measured data where a site carries some.
         let built: Vec<(SiteState, SitePower)> = vb_par::par_map(site_names.len(), |i| {
             let name = site_names[i];
             let site = catalog
                 .get(name)
                 .ok_or_else(|| SimError::UnknownSite(name.to_string()))?
                 .clone();
-            let actual = generate_in(&site, cfg.start_day, cfg.days, field);
+            let actual = catalog
+                .try_trace(name, cfg.start_day, cfg.days)
+                .map_err(SimError::Trace)?;
             let f3 = forecast_for(&actual, &site, Horizon::Hours3, field);
             let fd = forecast_for(&actual, &site, Horizon::DayAhead, field);
             let fw = forecast_for(&actual, &site, Horizon::WeekAhead, field);
@@ -1910,6 +1919,85 @@ mod tests {
             .err()
             .expect("empty group must be rejected");
         assert_eq!(err, SimError::NoSites);
+    }
+
+    /// The Table 1 trio re-packaged as *measured* data: the synthetic
+    /// catalog's own traces over `[start_day, start_day + days)`, with
+    /// `edit` applied to each site's series.
+    fn measured_trio(edit: impl Fn(&str, &mut TimeSeries)) -> Catalog {
+        let source = catalog();
+        let cfg = tiny_cfg();
+        let names = ["NO-solar", "UK-wind", "PT-wind"];
+        let sites: Vec<Site> = names
+            .iter()
+            .map(|n| source.get(n).unwrap().clone())
+            .collect();
+        let traces: Vec<TimeSeries> = names
+            .iter()
+            .map(|n| {
+                let mut t = source.trace(n, cfg.start_day, cfg.days);
+                edit(n, &mut t);
+                t
+            })
+            .collect();
+        Catalog::from_measured(sites, traces, source.field().seed())
+    }
+
+    fn run_trio(c: &Catalog) -> PolicySummary {
+        GroupSim::new(c, &["NO-solar", "UK-wind", "PT-wind"], tiny_cfg())
+            .expect("the trio's data covers the window")
+            .run(&mut GreedyPolicy::new())
+    }
+
+    #[test]
+    fn measured_copies_of_synthetic_traces_reproduce_the_run_exactly() {
+        let synthetic = run_trio(&catalog());
+        let measured = run_trio(&measured_trio(|_, _| {}));
+        assert_eq!(measured, synthetic);
+        assert_eq!(measured.total_gb.to_bits(), synthetic.total_gb.to_bits());
+        let bits = |s: &PolicySummary| {
+            s.per_step_gb
+                .iter()
+                .map(|v| v.to_bits())
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(bits(&measured), bits(&synthetic));
+    }
+
+    #[test]
+    fn the_simulator_runs_on_measured_data() {
+        // A measured dead UK-wind site must change the run: the group
+        // loses a third of its power, so more app-steps go unserved.
+        let synthetic = run_trio(&catalog());
+        let dead_uk = run_trio(&measured_trio(|n, t| {
+            if n == "UK-wind" {
+                t.values.iter_mut().for_each(|v| *v = 0.0);
+            }
+        }));
+        assert_ne!(dead_uk, synthetic);
+        assert!(
+            dead_uk.unavailable_app_steps > synthetic.unavailable_app_steps,
+            "dead {} vs synthetic {}",
+            dead_uk.unavailable_app_steps,
+            synthetic.unavailable_app_steps
+        );
+    }
+
+    #[test]
+    fn measured_data_short_of_the_window_is_an_error() {
+        let short = measured_trio(|n, t| {
+            if n == "PT-wind" {
+                t.values.truncate(t.values.len() - 1);
+            }
+        });
+        let err = GroupSim::new(&short, &["NO-solar", "UK-wind", "PT-wind"], tiny_cfg())
+            .err()
+            .expect("uncovered window must be rejected");
+        assert_eq!(
+            err,
+            SimError::Trace(TraceError::EndsBeforeWindow("PT-wind".into()))
+        );
+        assert!(err.to_string().contains("PT-wind"));
     }
 
     /// Regression for the `clamp(1, …)` panic: with `bucket_steps`

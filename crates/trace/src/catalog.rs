@@ -12,6 +12,44 @@ use crate::weather::WeatherField;
 use crate::{generate_in, SourceKind};
 use vb_stats::TimeSeries;
 
+/// Why a [`Catalog`] could not produce a site's trace.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum TraceError {
+    /// No site of that name is in the catalog.
+    UnknownSite(String),
+    /// The site's measured data is not at 15-minute resolution.
+    NotFifteenMinute(String),
+    /// The site's measured data starts after the requested window.
+    StartsAfterWindow(String),
+    /// The site's measured data ends before the requested window.
+    EndsBeforeWindow(String),
+}
+
+impl std::fmt::Display for TraceError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            TraceError::UnknownSite(name) => write!(f, "unknown site {name}"),
+            TraceError::NotFifteenMinute(name) => {
+                write!(f, "measured data for {name} must be 15-minute")
+            }
+            TraceError::StartsAfterWindow(name) => {
+                write!(
+                    f,
+                    "measured data for {name} starts after the requested window"
+                )
+            }
+            TraceError::EndsBeforeWindow(name) => {
+                write!(
+                    f,
+                    "measured data for {name} ends before the requested window"
+                )
+            }
+        }
+    }
+}
+
+impl std::error::Error for TraceError {}
+
 /// A collection of sites sharing one weather field.
 #[derive(Debug, Clone)]
 pub struct Catalog {
@@ -176,47 +214,63 @@ impl Catalog {
     ///
     /// # Panics
     /// Panics if the site is unknown, or if measured data does not cover
-    /// the requested window.
+    /// the requested window; [`Catalog::try_trace`] returns those as
+    /// errors instead.
     pub fn trace(&self, name: &str, start_day: u32, days: u32) -> TimeSeries {
+        self.try_trace(name, start_day, days)
+            .unwrap_or_else(|e| panic!("{e}"))
+    }
+
+    /// [`Catalog::trace`] without the panics.
+    ///
+    /// # Errors
+    /// [`TraceError::UnknownSite`] when no site is called `name`, and the
+    /// other [`TraceError`] variants when the site's measured data is not
+    /// 15-minute or does not cover the window.
+    pub fn try_trace(
+        &self,
+        name: &str,
+        start_day: u32,
+        days: u32,
+    ) -> Result<TimeSeries, TraceError> {
         let idx = self
             .sites
             .iter()
             .position(|s| s.name == name)
-            .unwrap_or_else(|| panic!("unknown site {name}"));
+            .ok_or_else(|| TraceError::UnknownSite(name.to_string()))?;
         self.trace_at(idx, start_day, days)
     }
 
-    fn trace_at(&self, idx: usize, start_day: u32, days: u32) -> TimeSeries {
-        match &self.measured[idx] {
-            Some(data) => {
-                let want_start = start_day as u64 * 86_400;
-                let want_len = (days as usize) * crate::STEPS_PER_DAY;
-                assert_eq!(
-                    data.interval_secs,
-                    crate::INTERVAL_15M,
-                    "measured data must be 15-minute"
-                );
-                assert!(
-                    want_start >= data.start_secs,
-                    "measured data for {} starts after the requested window",
-                    self.sites[idx].name
-                );
-                let offset = ((want_start - data.start_secs) / data.interval_secs) as usize;
-                assert!(
-                    offset + want_len <= data.len(),
-                    "measured data for {} ends before the requested window",
-                    self.sites[idx].name
-                );
-                data.slice(offset, offset + want_len)
-            }
-            None => generate_in(&self.sites[idx], start_day, days, &self.field),
+    fn trace_at(&self, idx: usize, start_day: u32, days: u32) -> Result<TimeSeries, TraceError> {
+        let Some(data) = &self.measured[idx] else {
+            return Ok(generate_in(&self.sites[idx], start_day, days, &self.field));
+        };
+        let site = || self.sites[idx].name.clone();
+        if data.interval_secs != crate::INTERVAL_15M {
+            return Err(TraceError::NotFifteenMinute(site()));
         }
+        let want_start = start_day as u64 * 86_400;
+        let want_len = (days as usize) * crate::STEPS_PER_DAY;
+        if want_start < data.start_secs {
+            return Err(TraceError::StartsAfterWindow(site()));
+        }
+        let offset = ((want_start - data.start_secs) / data.interval_secs) as usize;
+        if offset + want_len > data.len() {
+            return Err(TraceError::EndsBeforeWindow(site()));
+        }
+        Ok(data.slice(offset, offset + want_len))
     }
 
     /// Traces for all sites over the same window, in catalog order.
+    ///
+    /// # Panics
+    /// Panics if some site's measured data does not cover the window.
     pub fn traces(&self, start_day: u32, days: u32) -> Vec<TimeSeries> {
         (0..self.sites.len())
-            .map(|i| self.trace_at(i, start_day, days))
+            .map(|i| {
+                self.trace_at(i, start_day, days)
+                    .unwrap_or_else(|e| panic!("{e}"))
+            })
             .collect()
     }
 
@@ -322,6 +376,56 @@ mod tests {
 }
 
 #[cfg(test)]
+mod cache_tests {
+    use super::*;
+    use crate::{forecast_for, Horizon};
+
+    /// Build every site's trace and 3-horizon forecasts, as a fleet
+    /// simulation's setup does.
+    fn build_all(c: &Catalog, start_day: u32, days: u32) {
+        for site in c.sites() {
+            let actual = generate_in(site, start_day, days, c.field());
+            for h in Horizon::all() {
+                forecast_for(&actual, site, h, c.field());
+            }
+        }
+    }
+
+    #[test]
+    fn anchor_cache_is_bounded_by_anchors_channels_and_time_span() {
+        let (start_day, days) = (120, 84);
+        let c = Catalog::fleet(42, 150);
+        build_all(&c, start_day, days);
+        let blocks = c.field().cached_blocks();
+
+        // Per (channel, anchor) and per read window (the actual trace
+        // plus one per forecast horizon), a read spans at most the
+        // window, the longest AR(1) warm-up (ρ = 0.997), the wind
+        // model's own warm-up and the widest advection lag on either
+        // side (36° of longitude at 12 samples per degree).
+        let (anchors, channels, windows) = (42, 3, 1 + Horizon::all().len());
+        let span = days as usize * crate::STEPS_PER_DAY + 10_000 + 500 + 2 * 36 * 12;
+        let bound = anchors * channels * windows * (span.div_ceil(1024) + 1);
+        assert!(blocks > 0);
+        assert!(blocks <= bound, "{blocks} blocks exceed the bound {bound}");
+
+        // The bound holds independently of the site count: rebuilding
+        // every site again only reads what is already cached.
+        build_all(&c, start_day, days);
+        assert_eq!(c.field().cached_blocks(), blocks);
+    }
+
+    #[test]
+    fn catalog_clones_share_one_cache() {
+        let c = Catalog::europe(4);
+        let d = c.clone();
+        d.trace("UK-wind", 10, 1);
+        assert_eq!(c.field().cached_blocks(), d.field().cached_blocks());
+        assert!(c.field().cached_blocks() > 0);
+    }
+}
+
+#[cfg(test)]
 mod measured_tests {
     use super::*;
     use crate::INTERVAL_15M;
@@ -354,6 +458,34 @@ mod measured_tests {
     #[should_panic(expected = "starts after the requested window")]
     fn measured_window_underrun_panics() {
         measured_catalog().trace("meter", 9, 1);
+    }
+
+    #[test]
+    fn try_trace_reports_uncovered_windows_as_errors() {
+        let c = measured_catalog();
+        let meter = || "meter".to_string();
+        assert_eq!(
+            c.try_trace("meter", 11, 2),
+            Err(TraceError::EndsBeforeWindow(meter()))
+        );
+        assert_eq!(
+            c.try_trace("meter", 9, 1),
+            Err(TraceError::StartsAfterWindow(meter()))
+        );
+        assert_eq!(
+            c.try_trace("nowhere", 10, 1),
+            Err(TraceError::UnknownSite("nowhere".into()))
+        );
+        let hourly = TimeSeries::with_start(0, 3_600, vec![0.5; 48]);
+        let c = Catalog::from_measured(vec![Site::wind("meter", 52.0, 0.0)], vec![hourly], 1);
+        assert_eq!(
+            c.try_trace("meter", 0, 1),
+            Err(TraceError::NotFifteenMinute(meter()))
+        );
+        assert_eq!(
+            TraceError::EndsBeforeWindow(meter()).to_string(),
+            "measured data for meter ends before the requested window"
+        );
     }
 
     #[test]

@@ -49,7 +49,7 @@ pub mod solar;
 pub mod weather;
 pub mod wind;
 
-pub use catalog::Catalog;
+pub use catalog::{Catalog, TraceError};
 pub use forecast::{forecast_for, Horizon};
 pub use site::{Site, SourceKind};
 pub use solar::SolarModel;
