@@ -90,6 +90,14 @@ fn bench_solver(c: &mut Criterion) {
         )
     });
 
+    // The production path: a Table-1-shaped epoch through the epoch
+    // entry point (presolve, the factorized engine, devex, parallel
+    // B&B) under Table 1's node budget, cold (no cross-epoch cache).
+    let epoch = vb_bench::fixtures::placement_epoch(48, 4, 0);
+    c.bench_function("solver/table1_epoch_production", |b| {
+        b.iter(|| vb_solver::solve_mip_epoch(black_box(&epoch), 400, None).unwrap())
+    });
+
     let lp = || {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<VarId> = (0..50)

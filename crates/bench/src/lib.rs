@@ -23,6 +23,7 @@ pub mod fig2;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
+pub mod fixtures;
 pub mod report;
 pub mod scales;
 pub mod table1;

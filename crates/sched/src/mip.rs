@@ -51,7 +51,7 @@
 //! hits, misses, and greedy fallbacks per policy.
 
 use crate::greedy::GreedyPolicy;
-use crate::policy::{Assignment, PlanContext, Policy, SiteSnapshot};
+use crate::policy::{series_instance, Assignment, PlanContext, Policy, SiteSnapshot};
 use crate::sim::STEPS_PER_DAY;
 use serde::{Deserialize, Serialize};
 use vb_solver::{LinExpr, Model, Sense, SolveError, VarId};
@@ -480,7 +480,7 @@ impl Policy for MipPolicy {
         };
         vb_telemetry::series_sample(
             "sched.mip_epoch",
-            self.cfg.name.as_str(),
+            &series_instance(&self.cfg.name, ctx.sites.iter().map(|s| s.name.as_str())),
             ctx.now,
             &[
                 ("moves_planned", plan.len() as f64),

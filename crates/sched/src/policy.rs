@@ -118,6 +118,19 @@ impl SiteSnapshot {
     }
 }
 
+/// Series instance for one policy's run on one site group,
+/// `policy@site+site+...`. The series store keys rows by instance, and
+/// fleet shards run the same policy concurrently, so each group needs
+/// its own instance or shards would append to one series in completion
+/// order.
+pub(crate) fn series_instance<'a>(
+    policy: &str,
+    sites: impl IntoIterator<Item = &'a str>,
+) -> String {
+    let sites: Vec<&str> = sites.into_iter().collect();
+    format!("{policy}@{}", sites.join("+"))
+}
+
 /// A site-selection policy (Fig 6, step 3).
 pub trait Policy {
     /// Human-readable policy name, as used in Table 1.

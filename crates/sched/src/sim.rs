@@ -46,7 +46,9 @@
 //! pinned by `tests/event_equivalence.rs` across all four policies.
 
 use crate::app::{AppGen, AppGenConfig, AppSpec};
-use crate::policy::{AppId, MovableApp, NewApp, PlanContext, Policy, SitePlanInfo, SiteSnapshot};
+use crate::policy::{
+    series_instance, AppId, MovableApp, NewApp, PlanContext, Policy, SitePlanInfo, SiteSnapshot,
+};
 use serde::{Deserialize, Serialize};
 use std::cmp::Reverse;
 use std::collections::{BinaryHeap, VecDeque};
@@ -881,7 +883,10 @@ impl GroupSim {
         vb_telemetry::float_counter!("sched.move_gb").add(tot_move_gb);
         vb_telemetry::float_counter!("sched.stranded_gb").add(tot_stranded_gb);
         vb_telemetry::gauge!("sched.queued_apps").set(self.queue.len() as f64);
-        series.flush(policy.name());
+        series.flush(&series_instance(
+            policy.name(),
+            self.sites.iter().map(|s| s.site.name.as_str()),
+        ));
         let summary = PolicySummary::from_steps(
             policy.name(),
             &steps,

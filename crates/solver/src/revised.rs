@@ -81,7 +81,10 @@ impl Default for Params {
 
 /// Constraint matrix in both row- and column-major sparse form, shared
 /// (via `Arc`) by every state cloned off one solve — branch & bound
-/// clones states per node, and the matrix never changes.
+/// clones states per node, and the matrix never changes. The LU
+/// factors are likewise shared per factorization (see
+/// [`BasisFactor`]), so a node clone copies only the flat per-column
+/// and per-row vectors and the eta arrays.
 #[derive(Debug)]
 struct Mat {
     row_starts: Vec<u32>,
@@ -102,9 +105,11 @@ struct ArtCol {
 /// Dense pricing row plus its support list. `α` stays dense for O(1)
 /// reads; the support records every column the sweep touched, so the
 /// per-pivot consumers (reduced-cost update, steepest-edge cross terms,
-/// devex weights) iterate the nonzeros instead of every column. An
-/// epoch-marked scratch deduplicates the support without a clearing
-/// pass.
+/// devex weights, the dual ratio test) iterate the nonzeros instead of
+/// every column. An epoch-marked scratch deduplicates the support
+/// without a clearing pass. The support is in touch order until the
+/// dual ratio test sorts it for its ascending scan; every other
+/// consumer visits each column once, so the order does not matter.
 struct PriceRow {
     alpha: Vec<f64>,
     support: Vec<u32>,
@@ -1172,9 +1177,17 @@ impl RevisedState {
                 self.pricing_row(&rho, &mut pr);
 
                 // Entering column by the dual ratio test over the row's
-                // entries (ascending scan keeps the tableau tie-breaks).
+                // support: off-support entries are exact zeros, which
+                // the test skips anyway, and the ascending scan keeps
+                // the tableau tie-breaks.
+                pr.support.sort_unstable();
                 let mut enter: Option<(usize, f64)> = None;
-                for (j, &a) in pr.alpha.iter().enumerate().take(col_limit) {
+                for &ju in &pr.support {
+                    let j = ju as usize;
+                    if j >= col_limit {
+                        break;
+                    }
+                    let a = pr.alpha[j];
                     if self.basis_pos[j] != usize::MAX || self.ub[j] - self.lb[j] <= EPS {
                         continue;
                     }
