@@ -38,7 +38,7 @@ fn ablate_k(catalog: &Catalog) {
             candidates: 50,
             ..PipelineConfig::default()
         };
-        let ranked = identify_subgraphs(catalog, &cfg);
+        let ranked = identify_subgraphs(catalog, &cfg).expect("synthetic catalog traces");
         if let Some(best) = ranked.first() {
             t.row(&[
                 k.to_string(),

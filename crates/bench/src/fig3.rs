@@ -60,7 +60,8 @@ pub fn run(seed: u64) -> Fig3Report {
     let no_uk = MultiVb::new(group.sites()[..2].to_vec(), traces[..2].to_vec());
 
     let combos = group.subset_breakdowns(WINDOW_3_DAYS);
-    let (_, pair_stats) = search_pairs(&catalog, start_day, days, 50.0);
+    let (_, pair_stats) =
+        search_pairs(&catalog, start_day, days, 50.0).expect("synthetic catalog traces");
 
     // §2.3: buy a small amount of grid energy to fill the worst gaps.
     // The paper buys 4 000 MWh against a trio producing ~30 000 MWh over

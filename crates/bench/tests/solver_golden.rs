@@ -15,7 +15,26 @@
 //! pricing or the search must leave it passing unchanged. This binary
 //! holds a single test, so the process-global counters see no other
 //! solver traffic. The pinned values were computed before the eta file
-//! was flattened and its LU factors shared, and held unchanged after.
+//! was flattened and its LU factors shared, and held unchanged after;
+//! they held again when the LU factorization moved onto reusable
+//! working storage.
+//!
+//! They were re-pinned once, on purpose, when branch and bound began
+//! refactorizing a fractional root before the dive and the nodes share
+//! it. The root's basic values are then recomputed from the model data
+//! instead of carried through its eta file, so every warm start below
+//! the root sees slightly different low-order bits, and some searches
+//! take other (equally valid) paths under the node budget:
+//!
+//! | value | before | after |
+//! |---|---|---|
+//! | `DIGEST` | `0xc7ee9e820c8b55d4` | `0x90e4de07c555955a` |
+//! | `solver.pivots` | 4,822 | 4,656 |
+//! | `solver.eta_updates` | 4,822 | 4,656 |
+//! | `solver.refactorizations` | 25 | 25 |
+//! | `solver.lp_solves` | 1,288 | 1,350 |
+//! | `solver.ftran_nnz` | 20,524 | 19,906 |
+//! | `solver.btran_nnz` | 148,437 | 152,342 |
 
 use vb_bench::fixtures::placement_epoch;
 use vb_solver::{solve_mip_epoch, EpochCache};
@@ -38,7 +57,7 @@ fn fnv(mut h: u64, bits: u64) -> u64 {
 }
 
 /// FNV-1a over every epoch's objective, value count and values.
-const DIGEST: u64 = 0xc7ee_9e82_0c8b_55d4;
+const DIGEST: u64 = 0x90e4_de07_c555_955a;
 
 /// Counters whose deltas over the run are pinned, and their values.
 const COUNTERS: [&str; 6] = [
@@ -50,7 +69,7 @@ const COUNTERS: [&str; 6] = [
     "solver.btran_nnz",
 ];
 
-const WORK: [u64; 6] = [4822, 4822, 25, 1288, 20524, 148437];
+const WORK: [u64; 6] = [4656, 4656, 25, 1350, 19906, 152342];
 
 fn counters() -> [u64; 6] {
     let snap = vb_telemetry::snapshot();

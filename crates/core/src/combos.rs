@@ -13,7 +13,7 @@
 
 use serde::{Deserialize, Serialize};
 use vb_stats::{coefficient_of_variation, TimeSeries};
-use vb_trace::Catalog;
+use vb_trace::{Catalog, TraceError};
 
 /// cov improvement of one site pair.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -56,21 +56,30 @@ pub struct ComboStats {
 
 /// Sweep all site pairs within `latency_threshold_ms`, measuring cov
 /// improvement over `days` days starting at `start_day` (the paper uses
-/// 3-day intervals and a 50 ms threshold).
+/// 3-day intervals and a 50 ms threshold). Each site's power comes from
+/// the catalog's own traces: its measured data when it carries some,
+/// the synthetic generator otherwise.
+///
+/// # Errors
+/// The first [`TraceError`] in catalog order when some site's measured
+/// data is not 15-minute or does not cover the window.
 pub fn search_pairs(
     catalog: &Catalog,
     start_day: u32,
     days: u32,
     latency_threshold_ms: f64,
-) -> (Vec<PairImprovement>, ComboStats) {
+) -> Result<(Vec<PairImprovement>, ComboStats), TraceError> {
     let sites = catalog.sites();
     let n = sites.len();
 
-    // Generate all traces in parallel (the expensive part).
+    // Fetch all traces in parallel (the expensive part).
     let traces: Vec<TimeSeries> = vb_par::par_map(n, |i| {
-        vb_trace::generate_in(&sites[i], start_day, days, catalog.field())
-            .scale(sites[i].capacity_mw)
-    });
+        catalog
+            .try_trace(&sites[i].name, start_day, days)
+            .map(|t| t.scale(sites[i].capacity_mw))
+    })
+    .into_iter()
+    .collect::<Result<_, _>>()?;
     let covs: Vec<f64> = traces
         .iter()
         .map(|t| coefficient_of_variation(&t.values))
@@ -110,7 +119,7 @@ pub fn search_pairs(
     });
 
     let stats = summarize(&pairs);
-    (pairs, stats)
+    Ok((pairs, stats))
 }
 
 fn summarize(pairs: &[PairImprovement]) -> ComboStats {
@@ -149,7 +158,7 @@ mod tests {
     #[test]
     fn sweep_covers_all_in_range_pairs() {
         let catalog = Catalog::europe(42);
-        let (pairs, stats) = search_pairs(&catalog, 120, 3, 50.0);
+        let (pairs, stats) = search_pairs(&catalog, 120, 3, 50.0).unwrap();
         // 25 sites -> at most C(25,2) = 300 pairs; the latency threshold
         // removes some.
         assert!(stats.pairs == pairs.len());
@@ -165,7 +174,7 @@ mod tests {
     fn majority_of_pairs_improve() {
         // §2.3: complementary patterns are the rule, not the exception.
         let catalog = Catalog::europe(42);
-        let (_, stats) = search_pairs(&catalog, 120, 3, 50.0);
+        let (_, stats) = search_pairs(&catalog, 120, 3, 50.0).unwrap();
         assert!(
             stats.improved_fraction > 0.8,
             "improved fraction {}",
@@ -180,7 +189,7 @@ mod tests {
         // ">52% of possible 2-site combinations improved cov by >50%".
         // Synthetic catalog: accept a generous band around it.
         let catalog = Catalog::europe(42);
-        let (_, stats) = search_pairs(&catalog, 120, 3, 50.0);
+        let (_, stats) = search_pairs(&catalog, 120, 3, 50.0).unwrap();
         assert!(
             (0.30..0.95).contains(&stats.improved_50pct_fraction),
             "50%-improvement fraction {}",
@@ -191,17 +200,82 @@ mod tests {
     #[test]
     fn empty_catalog_yields_empty_stats() {
         let catalog = Catalog::new(1);
-        let (pairs, stats) = search_pairs(&catalog, 0, 1, 50.0);
+        let (pairs, stats) = search_pairs(&catalog, 0, 1, 50.0).unwrap();
         assert!(pairs.is_empty());
         assert_eq!(stats.pairs, 0);
         assert!(stats.best.is_none());
     }
 
+    /// FNV-1a over every pair's names and the bit patterns of its
+    /// scores.
+    fn sweep_digest(pairs: &[PairImprovement]) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h ^= b as u64;
+                h = h.wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        for p in pairs {
+            eat(p.a.as_bytes());
+            eat(p.b.as_bytes());
+            for v in [
+                p.best_single_cov,
+                p.worst_single_cov,
+                p.combined_cov,
+                p.improvement,
+                p.rtt_ms,
+            ] {
+                eat(&v.to_bits().to_le_bytes());
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn synthetic_sweep_is_unchanged_by_routing_through_the_catalog() {
+        // Pinned while the sweep still called the synthetic generator
+        // directly: a catalog without measured data must not move a bit.
+        let (pairs, _) = search_pairs(&Catalog::europe(42), 120, 3, 50.0).unwrap();
+        let h = sweep_digest(&pairs);
+        assert_eq!(h, SWEEP_DIGEST, "sweep digest moved: {h:#018x}");
+    }
+
+    const SWEEP_DIGEST: u64 = 0x6db1_e619_19f8_5e83;
+
+    /// `Catalog::europe(42)` with each site's synthetic days 120–122
+    /// stored as measured data, and site `zeroed` (if any) reading 0.
+    fn measured_europe(zeroed: Option<usize>) -> Catalog {
+        let synthetic = Catalog::europe(42);
+        let mut traces = synthetic.traces(120, 3);
+        if let Some(i) = zeroed {
+            traces[i].values.fill(0.0);
+        }
+        Catalog::from_measured(synthetic.sites().to_vec(), traces, 42)
+    }
+
+    #[test]
+    fn measured_catalogs_rank_on_their_own_traces() {
+        let synthetic = search_pairs(&Catalog::europe(42), 120, 3, 50.0).unwrap();
+        let same = search_pairs(&measured_europe(None), 120, 3, 50.0).unwrap();
+        assert_eq!(same, synthetic, "identical data must rank identically");
+        let zeroed = search_pairs(&measured_europe(Some(0)), 120, 3, 50.0).unwrap();
+        assert_ne!(zeroed.0, synthetic.0, "a zeroed site must change the sweep");
+        // A window the measured data does not cover is an error, not a
+        // silent fall-back to the generator.
+        assert_eq!(
+            search_pairs(&measured_europe(None), 121, 3, 50.0),
+            Err(TraceError::EndsBeforeWindow("NO-solar".into()))
+        );
+    }
+
     #[test]
     fn sweep_is_identical_across_thread_counts() {
         let catalog = Catalog::europe(42);
-        let (base, base_stats) = vb_par::with_threads(1, || search_pairs(&catalog, 120, 3, 50.0));
-        let (par, par_stats) = vb_par::with_threads(4, || search_pairs(&catalog, 120, 3, 50.0));
+        let (base, base_stats) =
+            vb_par::with_threads(1, || search_pairs(&catalog, 120, 3, 50.0)).unwrap();
+        let (par, par_stats) =
+            vb_par::with_threads(4, || search_pairs(&catalog, 120, 3, 50.0)).unwrap();
         assert_eq!(base, par);
         assert_eq!(base_stats, par_stats);
     }

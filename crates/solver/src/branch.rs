@@ -397,7 +397,7 @@ fn solve_mip_from_root(
         .collect();
 
     let (root, root_state) = root;
-    let root_state = Arc::new(root_state);
+    let root_state = shared_root_state(&root, root_state, &int_vars, max_nodes);
 
     let better = |a: f64, b: f64| match model.sense {
         Sense::Minimize => a < b - 1e-9,
@@ -545,6 +545,36 @@ fn solve_mip_from_root(
     } else {
         SolveError::Infeasible
     })
+}
+
+/// The root relaxation state that the rounding dive and every node
+/// below the root warm-start from, shared by `Arc`.
+///
+/// A factorized root that will be searched (a non-zero budget and a
+/// fractional relaxation) is refactorized once first. Its eta file holds
+/// the root solve's phase-1/phase-2 updates, often dozens; every warm
+/// solve below the root would replay all of them in each FTRAN and
+/// BTRAN. After the refactorization the dive and all nodes share the
+/// root basis's fresh LU and start from an empty eta file, so the search
+/// below the root depends only on the root basis, not on the pivot path
+/// that reached it. An integral root is returned untouched: the search
+/// ends at the root and no warm start reads the state. If the basis
+/// fails to refactorize, the state keeps its eta file.
+fn shared_root_state(
+    root: &Solution,
+    mut state: LpState,
+    int_vars: &[VarId],
+    max_nodes: usize,
+) -> Arc<LpState> {
+    if let LpState::Revised(st) = &mut state {
+        if max_nodes > 0
+            && most_fractional(root, int_vars).is_some()
+            && st.refactorize_for_sharing()
+        {
+            vb_telemetry::counter!("solver.root_refactorizations").inc();
+        }
+    }
+    Arc::new(state)
 }
 
 /// What expanding one node produced: an integral (snapped) candidate
@@ -919,6 +949,79 @@ mod tests {
         let e = m.expr(&obj_terms);
         m.set_objective(e);
         m
+    }
+
+    fn eta_count(state: &LpState) -> usize {
+        match state {
+            LpState::Revised(st) => st.eta_count(),
+            LpState::Tableau(_) => panic!("tableau state has no eta file"),
+        }
+    }
+
+    /// The relaxations of a node's children, solved warm off `state`.
+    fn child_objectives(
+        model: &Model,
+        int_vars: &[VarId],
+        root: &Solution,
+        state: &Arc<LpState>,
+    ) -> Vec<f64> {
+        let node = Node {
+            bound: root.objective,
+            sense: model.sense,
+            seq: 0,
+            overrides: Vec::new(),
+            relaxed: root.clone(),
+            state: Arc::clone(state),
+        };
+        let exp = expand(
+            model,
+            int_vars,
+            &node,
+            true,
+            Pricing::SteepestEdge,
+            Engine::Factorized,
+        );
+        let Expansion::Children(children) = exp else {
+            panic!("a fractional root branches");
+        };
+        children.iter().map(|c| c.relaxed.objective).collect()
+    }
+
+    #[test]
+    fn fractional_roots_are_shared_with_an_empty_eta_file() {
+        // A factorized root solve leaves its phase-1/phase-2 etas in the
+        // state. The state the dive and every node warm-start from must
+        // hold none once the root is fractional and will be searched,
+        // and its children must reach the same relaxation bounds as off
+        // the unrefactorized root.
+        let mut fractional = 0;
+        for seed in 0..8u64 {
+            let m = placement_model(8, 3, seed * 13 + 2);
+            let int_vars: Vec<VarId> = (0..m.vars.len())
+                .filter(|&j| m.vars[j].integer)
+                .map(VarId)
+                .collect();
+            let (root, state) =
+                lp_solve(&m, &[], None, Pricing::SteepestEdge, Engine::Factorized).unwrap();
+            if most_fractional(&root, &int_vars).is_none() {
+                continue;
+            }
+            fractional += 1;
+            let etas = eta_count(&state);
+            assert!(etas > 0, "seed {seed}: the root solve pushed no etas");
+            // A zero budget searches nothing, so the state is untouched.
+            let kept = shared_root_state(&root, state.clone(), &int_vars, 0);
+            assert_eq!(eta_count(&kept), etas);
+            let shared = shared_root_state(&root, state, &int_vars, MAX_NODES);
+            assert_eq!(eta_count(&shared), 0, "seed {seed}: etas survived");
+            let fresh = child_objectives(&m, &int_vars, &root, &shared);
+            let carried = child_objectives(&m, &int_vars, &root, &kept);
+            assert_eq!(fresh.len(), carried.len());
+            for (a, b) in fresh.iter().zip(&carried) {
+                assert!((a - b).abs() < 1e-6, "seed {seed}: child bound {a} vs {b}");
+            }
+        }
+        assert!(fractional >= 3, "only {fractional} fractional roots");
     }
 
     /// A small placement MIP with a parameterised capacity vector — the

@@ -23,6 +23,7 @@
 //! built once per factorization, for the BTRAN forward solve).
 
 use crate::simplex::DROP_EPS;
+use std::cell::RefCell;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
@@ -67,54 +68,135 @@ pub(crate) struct LuFactors {
     ut_vals: Vec<f64>,
 }
 
-impl LuFactors {
-    /// Factorize the `m × m` basis given as sparse columns
-    /// `cols[slot] = [(constraint row, value), ...]` (order free,
-    /// duplicates forbidden, zeros ignored).
-    pub(crate) fn factorize(
+/// A validated Markowitz candidate column: its live entries are
+/// `cand_entries[start..end]` of the [`Workspace`].
+#[derive(Clone, Copy)]
+struct Cand {
+    slot: u32,
+    start: usize,
+    end: usize,
+    best_row: u32,
+    best_val: f64,
+    cost: u64,
+}
+
+/// Working storage of one factorization. Each thread keeps one and the
+/// next factorization on that thread reuses it: every buffer is cleared
+/// on entry, never shrunk, so after the first few calls at a given size
+/// a factorization allocates only the [`LuFactors`] it returns. A
+/// thread holds on to the storage of the largest basis it factorized.
+#[derive(Default)]
+struct Workspace {
+    /// `rows[i]` = `[(slot, value), ...]` over active slots, kept sorted
+    /// by slot so candidate validation can binary-search a wide row
+    /// instead of scanning it.
+    rows: Vec<Vec<(u32, f64)>>,
+    /// Rows that held an entry of each column when last looked at
+    /// (stale until the column is validated).
+    col_rows: Vec<Vec<u32>>,
+    row_active: Vec<bool>,
+    col_active: Vec<bool>,
+    /// Lazy min-heap of (approximate count, slot); counts only ever
+    /// grow stale downward (drops / eliminations), which revalidation
+    /// on pop corrects.
+    heap: BinaryHeap<Reverse<(u32, u32)>>,
+    /// Dense merge scratch, epoch-marked so it never needs clearing
+    /// within a factorization.
+    dense: Vec<f64>,
+    mark: Vec<u32>,
+    /// Row-seen scratch for deduplicating stale column patterns, same
+    /// epoch-marking scheme.
+    rseen: Vec<u32>,
+    /// The current step's candidates and their live entries.
+    cands: Vec<Cand>,
+    cand_entries: Vec<(u32, f64)>,
+    /// Fill-in slots of the current victim row, and the row rebuilt
+    /// from its survivors plus the fill-in.
+    added: Vec<u32>,
+    merged: Vec<(u32, f64)>,
+    /// Step that eliminated each slot, and the per-column write cursor
+    /// of the `Uᵀ` counting sort.
+    step_of_slot: Vec<u32>,
+    cursor: Vec<u32>,
+}
+
+thread_local! {
+    static WORKSPACE: RefCell<Workspace> = RefCell::new(Workspace::default());
+}
+
+impl Workspace {
+    /// Clear every buffer for an `m × m` factorization.
+    fn reset(&mut self, m: usize) {
+        if self.rows.len() < m {
+            self.rows.resize_with(m, Vec::new);
+            self.col_rows.resize_with(m, Vec::new);
+        }
+        for row in &mut self.rows[..m] {
+            row.clear();
+        }
+        for pattern in &mut self.col_rows[..m] {
+            pattern.clear();
+        }
+        for buf in [&mut self.mark, &mut self.rseen] {
+            buf.clear();
+            buf.resize(m, 0);
+        }
+        for buf in [&mut self.row_active, &mut self.col_active] {
+            buf.clear();
+            buf.resize(m, true);
+        }
+        self.dense.clear();
+        self.dense.resize(m, 0.0);
+        self.heap.clear();
+    }
+
+    fn factorize<I>(
+        &mut self,
         m: usize,
-        cols: &[Vec<(u32, f64)>],
-    ) -> Result<LuFactors, SingularBasis> {
-        debug_assert_eq!(cols.len(), m);
-        // Working rows: rows[i] = [(slot, value), ...] over active slots,
-        // kept sorted by slot so candidate validation can binary-search
-        // a wide row instead of scanning it.
-        let mut rows: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
-        let mut col_rows: Vec<Vec<u32>> = vec![Vec::new(); m];
-        for (slot, col) in cols.iter().enumerate() {
-            for &(r, v) in col {
+        col: impl Fn(usize) -> I,
+    ) -> Result<LuFactors, SingularBasis>
+    where
+        I: IntoIterator<Item = (u32, f64)>,
+    {
+        self.reset(m);
+        let Workspace {
+            rows,
+            col_rows,
+            row_active,
+            col_active,
+            heap,
+            dense,
+            mark,
+            rseen,
+            cands,
+            cand_entries,
+            added,
+            merged,
+            step_of_slot,
+            cursor,
+        } = self;
+        for (slot, pattern) in col_rows[..m].iter_mut().enumerate() {
+            for (r, v) in col(slot) {
                 if v != 0.0 {
                     rows[r as usize].push((slot as u32, v));
-                    col_rows[slot].push(r);
+                    pattern.push(r);
                 }
             }
         }
-        let mut row_active = vec![true; m];
-        let mut col_active = vec![true; m];
-        // Lazy min-heap of (approximate count, slot); counts only ever
-        // grow stale downward (drops / eliminations), which revalidation
-        // on pop corrects.
-        let mut heap: BinaryHeap<Reverse<(u32, u32)>> = BinaryHeap::with_capacity(2 * m);
-        for (slot, rows_of) in col_rows.iter().enumerate() {
+        for (slot, rows_of) in col_rows[..m].iter().enumerate() {
             heap.push(Reverse((rows_of.len() as u32, slot as u32)));
         }
-        // Dense merge scratch, epoch-marked so it never needs clearing.
-        let mut dense = vec![0.0f64; m];
-        let mut mark = vec![0u32; m];
         let mut epoch = 0u32;
-        // Row-seen scratch for deduplicating stale column patterns, same
-        // epoch-marking scheme.
-        let mut rseen = vec![0u32; m];
         let mut rep = 0u32;
 
         let mut out = LuFactors {
             m,
             pivot_row: Vec::with_capacity(m),
             pivot_slot: Vec::with_capacity(m),
-            l_starts: vec![0],
+            l_starts: Vec::with_capacity(m + 1),
             l_rows: Vec::new(),
             l_vals: Vec::new(),
-            u_starts: vec![0],
+            u_starts: Vec::with_capacity(m + 1),
             u_slots: Vec::new(),
             u_vals: Vec::new(),
             u_diag: Vec::with_capacity(m),
@@ -122,19 +204,13 @@ impl LuFactors {
             ut_steps: Vec::new(),
             ut_vals: Vec::new(),
         };
-
-        // A validated candidate column with its live entries.
-        struct Cand {
-            slot: u32,
-            entries: Vec<(u32, f64)>, // (row, value)
-            best_row: u32,
-            best_val: f64,
-            cost: u64,
-        }
+        out.l_starts.push(0);
+        out.u_starts.push(0);
 
         for _step in 0..m {
             // Pop up to MARKOWITZ_CANDS distinct valid columns.
-            let mut cands: Vec<Cand> = Vec::with_capacity(MARKOWITZ_CANDS);
+            cands.clear();
+            cand_entries.clear();
             while cands.len() < MARKOWITZ_CANDS {
                 let Some(Reverse((_, slot))) = heap.pop() else {
                     break;
@@ -144,33 +220,40 @@ impl LuFactors {
                     continue;
                 }
                 // Validate the (possibly stale) pattern: keep rows that
-                // are active and still hold an entry at this slot.
-                let mut entries: Vec<(u32, f64)> = Vec::with_capacity(col_rows[s].len());
+                // are active and still hold an entry at this slot, and
+                // compact the pattern down to them in place.
                 rep = rep.wrapping_add(1);
                 if rep == 0 {
                     rseen.fill(0);
                     rep = 1;
                 }
-                for &r in &col_rows[s] {
+                let start = cand_entries.len();
+                let pattern = &mut col_rows[s];
+                let mut kept = 0;
+                for i in 0..pattern.len() {
+                    let r = pattern[i];
                     let ru = r as usize;
                     if !row_active[ru] || rseen[ru] == rep {
                         continue;
                     }
                     rseen[ru] = rep;
-                    if let Ok(i) = rows[ru].binary_search_by_key(&slot, |&(sl, _)| sl) {
-                        entries.push((r, rows[ru][i].1));
+                    if let Ok(k) = rows[ru].binary_search_by_key(&slot, |&(sl, _)| sl) {
+                        cand_entries.push((r, rows[ru][k].1));
+                        pattern[kept] = r;
+                        kept += 1;
                     }
                 }
+                let entries = &cand_entries[start..];
                 if entries.is_empty() {
                     // No live entry left in this column: structurally
                     // singular.
                     return Err(SingularBasis);
                 }
-                col_rows[s] = entries.iter().map(|&(r, _)| r).collect();
+                pattern.truncate(kept);
                 let colmax = entries.iter().fold(0.0f64, |acc, &(_, v)| acc.max(v.abs()));
                 let threshold = (PIVOT_REL * colmax).max(PIVOT_ABS);
                 let mut best: Option<(u32, f64, usize)> = None; // (row, val, rcount)
-                for &(r, v) in &entries {
+                for &(r, v) in entries {
                     if v.abs() >= threshold {
                         let rc = rows[r as usize].len();
                         let better = match best {
@@ -190,7 +273,8 @@ impl LuFactors {
                 let cost = (best_rc as u64 - 1) * (ccount - 1);
                 cands.push(Cand {
                     slot,
-                    entries,
+                    start,
+                    end: cand_entries.len(),
                     best_row,
                     best_val,
                     cost,
@@ -209,8 +293,8 @@ impl LuFactors {
                 }
             }
             let chosen = cands.swap_remove(pick);
-            for c in cands {
-                heap.push(Reverse((c.entries.len() as u32, c.slot)));
+            for c in cands.iter() {
+                heap.push(Reverse(((c.end - c.start) as u32, c.slot)));
             }
             let pslot = chosen.slot;
             let prow = chosen.best_row;
@@ -231,7 +315,7 @@ impl LuFactors {
 
             // Eliminate the pivot column from every other live row.
             let pivot_entries = std::mem::take(&mut rows[prow as usize]);
-            for &(victim, vval) in &chosen.entries {
+            for &(victim, vval) in &cand_entries[chosen.start..chosen.end] {
                 if victim == prow {
                     continue;
                 }
@@ -245,12 +329,12 @@ impl LuFactors {
                     mark.fill(0);
                     epoch = 1;
                 }
-                let vrow = std::mem::take(&mut rows[victim as usize]);
-                for &(s, v) in &vrow {
+                let vrow = &rows[victim as usize];
+                for &(s, v) in vrow {
                     dense[s as usize] = v;
                     mark[s as usize] = epoch;
                 }
-                let mut added: Vec<u32> = Vec::new();
+                added.clear();
                 for &(s, v) in &pivot_entries {
                     if s == pslot {
                         continue;
@@ -267,69 +351,102 @@ impl LuFactors {
                 // Merge survivors with the (sorted) fill-in so the row
                 // stays sorted by slot.
                 added.sort_unstable();
-                let mut new_row: Vec<(u32, f64)> = Vec::with_capacity(vrow.len() + added.len());
+                merged.clear();
                 let mut ai = 0;
+                let dense = &*dense;
                 let take_fill =
                     |s: u32,
-                     new_row: &mut Vec<(u32, f64)>,
-                     col_rows: &mut Vec<Vec<u32>>,
+                     merged: &mut Vec<(u32, f64)>,
+                     col_rows: &mut [Vec<u32>],
                      heap: &mut BinaryHeap<Reverse<(u32, u32)>>| {
                         let v = dense[s as usize];
                         if v.abs() > DROP_EPS {
-                            new_row.push((s, v));
+                            merged.push((s, v));
                             // Fill-in: record the new pattern entry and bump
                             // the column back up the heap.
                             col_rows[s as usize].push(victim);
                             heap.push(Reverse((col_rows[s as usize].len() as u32, s)));
                         }
                     };
-                for &(s, _) in &vrow {
+                for &(s, _) in vrow {
                     if s == pslot {
                         continue; // eliminated: became the L multiplier
                     }
                     while ai < added.len() && added[ai] < s {
-                        take_fill(added[ai], &mut new_row, &mut col_rows, &mut heap);
+                        take_fill(added[ai], merged, col_rows, heap);
                         ai += 1;
                     }
                     let v = dense[s as usize];
                     if v.abs() > DROP_EPS {
-                        new_row.push((s, v));
+                        merged.push((s, v));
                     }
                 }
                 for &s in &added[ai..] {
-                    take_fill(s, &mut new_row, &mut col_rows, &mut heap);
+                    take_fill(s, merged, col_rows, heap);
                 }
-                rows[victim as usize] = new_row;
+                // The victim row takes the merged entries; its old
+                // buffer becomes the next merge's.
+                std::mem::swap(&mut rows[victim as usize], merged);
             }
+            // Hand the pivot row's buffer back, empty, for reuse.
+            rows[prow as usize] = pivot_entries;
+            rows[prow as usize].clear();
             out.l_starts.push(out.l_rows.len() as u32);
             row_active[prow as usize] = false;
             col_active[pslot as usize] = false;
         }
 
-        // Build the transposed U (by column step) for BTRAN: U row k's
-        // entry at slot s lands in column step_of_slot[s].
-        let mut step_of_slot = vec![0u32; m];
+        // Build the transposed U (by column step) for BTRAN by a
+        // counting sort: U row k's entry at slot s lands in column
+        // step_of_slot[s], and rows are visited in step order, so each
+        // column lists its steps ascending.
+        step_of_slot.clear();
+        step_of_slot.resize(m, 0);
         for (k, &s) in out.pivot_slot.iter().enumerate() {
             step_of_slot[s as usize] = k as u32;
         }
-        let mut ut_cols: Vec<Vec<(u32, f64)>> = vec![Vec::new(); m];
+        let mut ut_starts = vec![0u32; m + 1];
+        for &s in &out.u_slots {
+            ut_starts[step_of_slot[s as usize] as usize + 1] += 1;
+        }
+        for l in 0..m {
+            ut_starts[l + 1] += ut_starts[l];
+        }
+        cursor.clear();
+        cursor.extend_from_slice(&ut_starts[..m]);
+        let nnz = out.u_slots.len();
+        let mut ut_steps = vec![0u32; nnz];
+        let mut ut_vals = vec![0.0f64; nnz];
         for k in 0..m {
             let (a, b) = (out.u_starts[k] as usize, out.u_starts[k + 1] as usize);
             for e in a..b {
                 let l = step_of_slot[out.u_slots[e] as usize] as usize;
-                ut_cols[l].push((k as u32, out.u_vals[e]));
+                let at = cursor[l] as usize;
+                ut_steps[at] = k as u32;
+                ut_vals[at] = out.u_vals[e];
+                cursor[l] += 1;
             }
         }
-        out.ut_starts = Vec::with_capacity(m + 1);
-        out.ut_starts.push(0);
-        for col in &ut_cols {
-            for &(k, v) in col {
-                out.ut_steps.push(k);
-                out.ut_vals.push(v);
-            }
-            out.ut_starts.push(out.ut_steps.len() as u32);
-        }
+        out.ut_starts = ut_starts;
+        out.ut_steps = ut_steps;
+        out.ut_vals = ut_vals;
         Ok(out)
+    }
+}
+
+impl LuFactors {
+    /// Factorize the `m × m` basis whose column `slot` is `col(slot)`:
+    /// `(constraint row, value)` entries, in any order, duplicates
+    /// forbidden, zeros ignored. Runs on this thread's reusable
+    /// [`Workspace`], so only the returned factors allocate.
+    pub(crate) fn factorize<I>(
+        m: usize,
+        col: impl Fn(usize) -> I,
+    ) -> Result<LuFactors, SingularBasis>
+    where
+        I: IntoIterator<Item = (u32, f64)>,
+    {
+        WORKSPACE.with(|ws| ws.borrow_mut().factorize(m, col))
     }
 
     /// Solve `B·x = b` in place: `x` arrives indexed by constraint row
@@ -422,7 +539,7 @@ mod tests {
 
     fn check_solves(a: &[&[f64]]) {
         let m = a.len();
-        let lu = LuFactors::factorize(m, &dense_cols(a)).expect("nonsingular");
+        let lu = factorize_cols(&dense_cols(a)).expect("nonsingular");
         let mut work = vec![0.0; m];
         // FTRAN: pick x, form b = A x, solve, compare.
         let x_true: Vec<f64> = (0..m).map(|i| (i as f64) - 1.5).collect();
@@ -459,7 +576,7 @@ mod tests {
 
     #[test]
     fn empty_basis() {
-        let lu = LuFactors::factorize(0, &[]).expect("empty is nonsingular");
+        let lu = factorize_cols(&[]).expect("empty is nonsingular");
         lu.ftran(&mut [], &mut []);
         lu.btran(&mut [], &mut []);
         assert!(lu.l_vals.is_empty() && lu.u_vals.is_empty());
@@ -470,11 +587,180 @@ mod tests {
         // Duplicate columns.
         let a: &[&[f64]] = &[&[1.0, 1.0], &[2.0, 2.0]];
         assert!(
-            LuFactors::factorize(2, &dense_cols(a)).is_err(),
+            factorize_cols(&dense_cols(a)).is_err(),
             "rank-1 matrix must not factorize"
         );
         // A structurally empty column.
         let cols = vec![vec![(0u32, 1.0)], vec![]];
-        assert!(LuFactors::factorize(2, &cols).is_err());
+        assert!(factorize_cols(&cols).is_err());
+    }
+
+    /// Factorize a basis given as explicit sparse columns.
+    fn factorize_cols(cols: &[Vec<(u32, f64)>]) -> Result<LuFactors, SingularBasis> {
+        LuFactors::factorize(cols.len(), |slot| cols[slot].iter().copied())
+    }
+
+    /// SplitMix64 stream.
+    struct Mix(u64);
+
+    impl Mix {
+        fn next(&mut self) -> u64 {
+            self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
+            let mut z = self.0;
+            z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+            z ^ (z >> 31)
+        }
+
+        /// Uniform in `[0, 1)`.
+        fn unit(&mut self) -> f64 {
+            (self.next() >> 11) as f64 / (1u64 << 53) as f64
+        }
+
+        fn below(&mut self, n: usize) -> usize {
+            (self.next() % n as u64) as usize
+        }
+
+        /// `±[lo, hi)` with a random sign.
+        fn signed(&mut self, lo: f64, hi: f64) -> f64 {
+            let v = lo + (hi - lo) * self.unit();
+            if self.next() & 1 == 0 {
+                v
+            } else {
+                -v
+            }
+        }
+    }
+
+    /// A seeded sparse `m × m` basis shaped like the simplex's: about a
+    /// third of the slots are unit (slack) columns, the rest structural
+    /// columns with one entry on a row drawn from a permutation (so the
+    /// basis is structurally nonsingular) plus one to four random extra
+    /// rows, in unsorted row order. Every fourth structural column's
+    /// permutation entry is small next to its others, so threshold
+    /// pivoting must reject it; the extra rows force fill-in.
+    fn seeded_basis(m: usize, seed: u64) -> Vec<Vec<(u32, f64)>> {
+        let mut rng = Mix(seed);
+        let mut perm: Vec<u32> = (0..m as u32).collect();
+        for i in (1..m).rev() {
+            perm.swap(i, rng.below(i + 1));
+        }
+        let mut structural = 0usize;
+        (0..m)
+            .map(|slot| {
+                let home = perm[slot];
+                if rng.unit() < 0.33 {
+                    return vec![(home, if rng.next() & 1 == 0 { 1.0 } else { -1.0 })];
+                }
+                structural += 1;
+                let home_val = if structural.is_multiple_of(4) {
+                    rng.signed(1e-3, 2e-3)
+                } else {
+                    rng.signed(0.5, 2.0)
+                };
+                let mut col = vec![(home, home_val)];
+                for _ in 0..1 + rng.below(4) {
+                    let r = rng.below(m) as u32;
+                    if col.iter().all(|&(cr, _)| cr != r) {
+                        col.push((r, rng.signed(0.5, 3.0)));
+                    }
+                }
+                // Unsorted row order: rotate by a random amount.
+                let k = rng.below(col.len());
+                col.rotate_left(k);
+                col
+            })
+            .collect()
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
+    fn fnv(mut h: u64, word: u64) -> u64 {
+        for b in word.to_le_bytes() {
+            h ^= b as u64;
+            h = h.wrapping_mul(FNV_PRIME);
+        }
+        h
+    }
+
+    fn fnv_u32s(h: u64, xs: &[u32]) -> u64 {
+        xs.iter()
+            .fold(fnv(h, xs.len() as u64), |h, &x| fnv(h, x as u64))
+    }
+
+    fn fnv_f64s(h: u64, xs: &[f64]) -> u64 {
+        xs.iter()
+            .fold(fnv(h, xs.len() as u64), |h, &x| fnv(h, x.to_bits()))
+    }
+
+    /// Fold one factorization outcome into the digest: every array of
+    /// the factors by bit pattern, then one FTRAN and one BTRAN through
+    /// them; a rejected basis folds a marker instead.
+    fn fold_factors(h: u64, cols: &[Vec<(u32, f64)>]) -> u64 {
+        let m = cols.len();
+        let lu = match factorize_cols(cols) {
+            Ok(lu) => lu,
+            Err(SingularBasis) => return fnv(h, u64::MAX),
+        };
+        let mut h = fnv(h, lu.m as u64);
+        for xs in [
+            &lu.pivot_row,
+            &lu.pivot_slot,
+            &lu.l_starts,
+            &lu.l_rows,
+            &lu.u_starts,
+            &lu.u_slots,
+            &lu.ut_starts,
+            &lu.ut_steps,
+        ] {
+            h = fnv_u32s(h, xs);
+        }
+        for xs in [&lu.l_vals, &lu.u_vals, &lu.u_diag, &lu.ut_vals] {
+            h = fnv_f64s(h, xs);
+        }
+        let mut work = vec![0.0; m];
+        let mut x: Vec<f64> = (0..m).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+        lu.ftran(&mut x, &mut work);
+        h = fnv_f64s(h, &x);
+        let mut y: Vec<f64> = (0..m).map(|i| (i % 5) as f64 - 2.0).collect();
+        lu.btran(&mut y, &mut work);
+        fnv_f64s(h, &y)
+    }
+
+    /// Bit patterns of every factorization array (and a solve each way)
+    /// over seeded sparse bases at m = 12, 107 and 400, plus the three
+    /// rejection paths: an emptied column, a column below the absolute
+    /// pivot floor, and a duplicated column. Pinned before the
+    /// factorization moved onto reusable working storage; any change
+    /// to pivot choice, tie-breaks, elimination or drop order moves it.
+    const LU_DIGEST: u64 = 0xe5ee_795a_9ada_2021;
+
+    #[test]
+    fn seeded_bases_match_the_golden_lu_digest() {
+        let mut h = FNV_OFFSET;
+        let mut factored = 0;
+        for (m, seeds) in [(12usize, 0..8u64), (107, 100..104), (400, 200..202)] {
+            for seed in seeds {
+                let cols = seeded_basis(m, seed);
+                assert!(factorize_cols(&cols).is_ok(), "m={m} seed={seed} singular");
+                h = fold_factors(h, &cols);
+                factored += 1;
+            }
+        }
+        assert_eq!(factored, 14);
+        // Rejections: emptied, sub-floor and duplicated columns.
+        let mut empty = seeded_basis(12, 7);
+        empty[5].clear();
+        let mut tiny = seeded_basis(12, 7);
+        tiny[5] = vec![(3, 1e-13), (8, -2e-12 / 7.0)];
+        let mut dup = seeded_basis(107, 3);
+        dup[40] = dup[17].clone();
+        for cols in [empty, tiny, dup] {
+            assert!(factorize_cols(&cols).is_err());
+            h = fold_factors(h, &cols);
+        }
+        h = fold_factors(h, &[]);
+        assert_eq!(h, LU_DIGEST, "LU digest moved: {h:#018x}");
     }
 }

@@ -142,8 +142,8 @@ mod tests {
     /// B = I (2×2), then pivot slot 0 on a column d̂ = (2, 1)ᵀ: the new
     /// basis is B' = [[2, 0], [1, 1]].
     fn updated_basis() -> BasisFactor {
-        let cols = vec![vec![(0u32, 1.0)], vec![(1u32, 1.0)]];
-        let lu = LuFactors::factorize(2, &cols).unwrap();
+        let cols = [vec![(0u32, 1.0)], vec![(1u32, 1.0)]];
+        let lu = LuFactors::factorize(2, |s| cols[s].iter().copied()).unwrap();
         let mut bf = BasisFactor::new(lu, 2);
         bf.push_eta(0, &[2.0, 1.0]);
         bf
@@ -232,7 +232,7 @@ mod tests {
         let cols: Vec<Vec<(u32, f64)>> = (0..m)
             .map(|j| (0..m).map(|i| (i as u32, b[i][j])).collect())
             .collect();
-        let lu = LuFactors::factorize(m, &cols).unwrap();
+        let lu = LuFactors::factorize(m, |s| cols[s].iter().copied()).unwrap();
         (b, BasisFactor::new(lu, m), rng)
     }
 

@@ -679,28 +679,27 @@ impl RevisedState {
 
     /// Factorize the current basis matrix from the model data.
     fn factorize_basis(&mut self) -> Result<(), SolveError> {
-        let mut cols: Vec<Vec<(u32, f64)>> = Vec::with_capacity(self.m);
-        for &b in &self.basis {
-            if b < self.n {
+        // Each basis column straight from the model data: a structural's
+        // CSC slice, or the single entry of a logical or artificial.
+        let column = |slot: usize| {
+            let b = self.basis[slot];
+            let (rows, vals, unit): (&[u32], &[f64], _) = if b < self.n {
                 let (a, e) = (
                     self.mat.col_starts[b] as usize,
                     self.mat.col_starts[b + 1] as usize,
                 );
-                cols.push(
-                    (a..e)
-                        .map(|k| (self.mat.col_rows[k], self.mat.col_vals[k]))
-                        .collect(),
-                );
+                (&self.mat.col_rows[a..e], &self.mat.col_vals[a..e], None)
             } else if b < self.art_start {
-                cols.push(vec![((b - self.n) as u32, 1.0)]);
+                (&[], &[], Some(((b - self.n) as u32, 1.0)))
             } else {
                 let art = self.arts[b - self.art_start];
-                cols.push(vec![(art.row, art.sign)]);
-            }
-        }
+                (&[], &[], Some((art.row, art.sign)))
+            };
+            rows.iter().copied().zip(vals.iter().copied()).chain(unit)
+        };
         // A singular basis is numerical trouble, not infeasibility: use
         // the iteration-limit channel so warm paths fall back to cold.
-        let lu = LuFactors::factorize(self.m, &cols).map_err(|_| SolveError::IterationLimit)?;
+        let lu = LuFactors::factorize(self.m, column).map_err(|_| SolveError::IterationLimit)?;
         self.factor = BasisFactor::new(lu, self.m);
         Ok(())
     }
@@ -730,6 +729,28 @@ impl RevisedState {
         }
         self.xb.copy_from_slice(&r);
         Ok(())
+    }
+
+    /// Refactorize a solved state that holds eta updates, so every warm
+    /// start off it (branch and bound shares one root state) begins
+    /// from an empty eta file. Returns whether it refactorized: `false`
+    /// when the eta file is already empty, or when the basis would not
+    /// factorize, in which case the state is left as it was. Flushes
+    /// the work to telemetry, since the solve that produced the state
+    /// has already flushed.
+    pub(crate) fn refactorize_for_sharing(&mut self) -> bool {
+        if self.factor.eta_count() == 0 {
+            return false;
+        }
+        let done = self.refactorize().is_ok();
+        self.flush_stats();
+        done
+    }
+
+    /// Eta updates applied since the last factorization.
+    #[cfg(test)]
+    pub(crate) fn eta_count(&self) -> usize {
+        self.factor.eta_count()
     }
 
     /// Retarget structural bounds (warm start): nonbasic structurals are

@@ -18,7 +18,8 @@ fn main() {
     let days = 3;
 
     // --- Which pairs complement each other? (§2.3's sweep) ---
-    let (mut pairs, stats) = search_pairs(&catalog, start_day, days, 50.0);
+    let (mut pairs, stats) =
+        search_pairs(&catalog, start_day, days, 50.0).expect("synthetic catalog traces");
     pairs.sort_by(|a, b| b.improvement.partial_cmp(&a.improvement).expect("finite"));
     println!(
         "pair sweep: {} pairs within 50 ms; {:.0}% improve cov by >50%",
